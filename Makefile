@@ -119,10 +119,10 @@ compile-bench:
 	$(GO) run ./cmd/blinkbench -compile -o BENCH_compile.json
 
 # CI smoke for the staged compile pipeline: exits non-zero unless the
-# approximate-first fast path publishes a usable cold plan at least 2x
-# sooner than the exact compile AND incremental fault repair replans at
-# least 10x faster than the full per-root recompile baseline (see
-# BENCH_compile.json for the tracked run).
+# first cold dispatch at every root of a full DGX-1V and a full DGX-1P
+# serves a packing at floor(Edmonds bound) AND incremental fault repair
+# replans at least 10x faster than a fresh engine recompiling every root
+# on the faulted machine (see BENCH_compile.json for the tracked run).
 compile-smoke:
 	$(GO) run ./cmd/blinkbench -compilesmoke
 

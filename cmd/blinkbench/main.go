@@ -13,8 +13,8 @@
 //	blinkbench -async -o BENCH_async.json            # async-stream overlap + dispatch throughput
 //	blinkbench -mixed -o BENCH_mixed.json            # AllToAll / SendRecv / NeighborExchange vs flat ring
 //	blinkbench -obs -o BENCH_obs.txt                 # replay-determinism gate + metrics + span dump
-//	blinkbench -compile -o BENCH_compile.json        # staged compile: fast path + incremental repair
-//	blinkbench -compilesmoke                         # CI gate: fast path >=2x, incremental repair >=10x
+//	blinkbench -compile -o BENCH_compile.json        # staged compile: first cold plan per root + incremental repair
+//	blinkbench -compilesmoke                         # CI gate: first cold plans optimal, incremental repair >=10x
 //	blinkbench -store -o BENCH_planStore.json        # tiered plan cache: compile vs disk vs memory vs blinkd
 //	blinkbench -storesmoke                           # CI gate: warm-disk cold-start >=10x vs cold compile
 //	blinkbench -tenants -o BENCH_tenants.json        # multi-tenant QoS: latency-critical p99 vs FIFO at 100-1000 tenants
@@ -38,8 +38,8 @@ func main() {
 	async := flag.Bool("async", false, "benchmark async-stream overlap and dispatch throughput and emit JSON")
 	mixed := flag.Bool("mixed", false, "benchmark AllToAll/SendRecv/NeighborExchange vs the flat-ring baseline and emit JSON")
 	obsFlag := flag.Bool("obs", false, "run the seeded replay-determinism gate and emit metrics + span dump")
-	compileFlag := flag.Bool("compile", false, "benchmark the staged compile pipeline (fast path, incremental repair) and emit JSON")
-	compileSmoke := flag.Bool("compilesmoke", false, "gate the fast-path (>=2x) and incremental-repair (>=10x) speedups, exit non-zero on failure")
+	compileFlag := flag.Bool("compile", false, "benchmark the staged compile pipeline (first cold plan per root, incremental repair) and emit JSON")
+	compileSmoke := flag.Bool("compilesmoke", false, "gate first cold plans at floor(Edmonds bound) and incremental repair >=10x, exit non-zero on failure")
 	storeFlag := flag.Bool("store", false, "benchmark cold compile vs warm-disk cold-start vs warm-memory replay vs blinkd round-trip and emit JSON")
 	storeSmoke := flag.Bool("storesmoke", false, "gate warm-disk cold-start >=10x faster than cold compile, exit non-zero on failure")
 	tenantsFlag := flag.Bool("tenants", false, "benchmark latency-critical p99 under 100-1000 tenant mixed load (lanes vs FIFO) and emit JSON; exits non-zero if the QoS gate fails")

@@ -6,19 +6,13 @@ import (
 	"time"
 
 	"blink/internal/core"
-	"blink/internal/graph"
 	"blink/internal/topology"
 )
 
 // This file is the collective-layer half of the staged planner pipeline
 // (internal/core/pipeline.go): per-root packing slots with entry-level
-// locking so cold compiles for distinct roots run in parallel, the
-// approximate-first fast path with background exact refinement swapping
-// better frozen plans in through the plan cache's atomic publish, and
+// locking so cold compiles for distinct roots run in parallel, and
 // incremental packing repair on reconfiguration.
-
-// rateTiny absorbs float noise when comparing packing rates.
-const rateTiny = 1e-9
 
 // packEntry is one root's packing slot in an engineState. The entry-level
 // mutex serializes the expensive compile for that root only — the
@@ -28,45 +22,7 @@ type packEntry struct {
 	mu  sync.Mutex
 	p   *core.Packing
 	err error
-	// approx marks p as fast-path output whose exact refinement is still
-	// pending or running.
-	approx bool
-	// pending lists cached plans compiled against the approximate packing;
-	// the refinement recompiles and republishes them when its packing wins.
-	pending []pendingSwap
 }
-
-// pendingSwap remembers everything needed to recompile one cached plan
-// against a refined packing and swap the better FrozenPlan in.
-type pendingSwap struct {
-	key   PlanKey
-	op    Op
-	root  int
-	bytes int64
-	po    core.PlanOptions
-	opts  Options
-}
-
-// SetFastCompile toggles the approximate-first fast path (default off).
-// When on, a cold Blink compile publishes a plan built from the greedy
-// ApproxPack packing immediately — typically well under half the exact
-// compile latency — while the exact enumerate→minimize→fill pipeline runs
-// in the background and swaps a better frozen plan into the cache when it
-// wins. Replays in flight keep the plan they resolved; the swap is the
-// cache's atomic publish.
-func (e *Engine) SetFastCompile(on bool) { e.fastPath.Store(on) }
-
-// SetIncrementalRepair toggles incremental packing repair on
-// reconfiguration (default on). Off forces every post-fault packing to
-// recompile from scratch — the baseline the compile benchmark measures
-// repair speedup against.
-func (e *Engine) SetIncrementalRepair(on bool) { e.repairOff.Store(!on) }
-
-// WaitRefinements blocks until every scheduled background exact refinement
-// has finished (including its plan swaps). Tests and benchmarks use it to
-// observe the refined steady state deterministically; production callers
-// never need it.
-func (e *Engine) WaitRefinements() { e.refineWG.Wait() }
 
 // observeStage records one compile-stage latency into the per-stage
 // histogram family blink_compile_stage_seconds{stage=...}.
@@ -91,120 +47,20 @@ func (st *engineState) entryFor(pcie bool, root int) *packEntry {
 }
 
 // packingOn resolves (compiling on first use) the tree packing for a root
-// on the NVLink or PCIe plane. It reports whether the returned packing is
-// fast-path output still awaiting exact refinement, so the caller can
-// register compiled plans for the refinement swap.
-func (e *Engine) packingOn(st *engineState, pcie bool, root int) (*core.Packing, bool, error) {
+// on the NVLink or PCIe plane.
+func (e *Engine) packingOn(st *engineState, pcie bool, root int) (*core.Packing, error) {
 	entry := st.entryFor(pcie, root)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	if entry.p != nil || entry.err != nil {
-		return entry.p, entry.approx, entry.err
+		return entry.p, entry.err
 	}
 	g := st.topo.GPUGraph()
 	if pcie {
 		g = st.topo.PCIeGraph()
 	}
-	if e.fastPath.Load() && !pcie {
-		if p, _, err := e.approxPipe.PackRoot(g, root); err == nil {
-			entry.p, entry.approx = p, true
-			e.mFastCompiles.Inc()
-			e.refine(st, entry, g, root)
-			return entry.p, true, nil
-		}
-		// Fast path failed (degenerate capacities, disconnected root): fall
-		// through so the exact pipeline reports the authoritative error.
-	}
-	entry.p, _, entry.err = e.exactPipe.PackRoot(g, root)
-	return entry.p, false, entry.err
-}
-
-// refine schedules the background exact compile for a fast-path packing.
-// The caller holds entry.mu, so the approx flag is still set when the
-// goroutine is registered; the refinement itself runs without locks and
-// re-takes entry.mu only to swap.
-func (e *Engine) refine(st *engineState, entry *packEntry, g *graph.Graph, root int) {
-	e.refineWG.Add(1)
-	go func() {
-		defer e.refineWG.Done()
-		e.refineSem <- struct{}{}
-		defer func() { <-e.refineSem }()
-		exact, _, err := e.exactPipe.PackRoot(g, root)
-
-		entry.mu.Lock()
-		cur := entry.p
-		better := err == nil && (exact.Rate > cur.Rate+rateTiny ||
-			(exact.Rate > cur.Rate-rateTiny && len(exact.Trees) < len(cur.Trees)))
-		if better {
-			entry.p = exact
-		}
-		// Refinement is done either way; plans compiled from here on see the
-		// final packing, and pending swaps are consumed exactly once.
-		entry.approx = false
-		pend := entry.pending
-		entry.pending = nil
-		entry.mu.Unlock()
-
-		if !better || e.st.Load() != st {
-			// Greedy already optimal (common on pristine fabrics), or a
-			// reconfiguration invalidated this state's plans wholesale.
-			return
-		}
-		for _, ps := range pend {
-			plan, strategy, _, perr := blinkPlan(e, st, ps.op, ps.root, ps.bytes, ps.po, ps.opts)
-			if perr != nil {
-				continue
-			}
-			// The tiered Put is the atomic publish: replays in flight keep
-			// the frozen plan they already resolved; the next dispatch
-			// replays the refined schedule, and the disk tier is rewritten so
-			// other processes warm-start from the refined packing too.
-			cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
-			e.cache.PutTiered(ps.key, cp, encodeCachedPlan(cp))
-			e.mRefineSwaps.Inc()
-		}
-	}()
-}
-
-// registerPendingSwap records a cached plan against one root's packing slot
-// so its refinement republishes the plan. It reports false when the slot is
-// no longer awaiting refinement — the caller must then recompile itself,
-// because the refinement may already have published a refined plan that the
-// caller's approx-derived Put just replaced.
-func (e *Engine) registerPendingSwap(st *engineState, pcie bool, root int, ps pendingSwap) bool {
-	entry := st.entryFor(pcie, root)
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
-	if !entry.approx {
-		return false
-	}
-	entry.pending = append(entry.pending, ps)
-	return true
-}
-
-// finishFastPlan runs after a fast-path-derived plan was cached: it
-// registers the plan for a refinement swap on every approximate packing
-// that fed it, or — when every such refinement already completed —
-// recompiles against the now-exact packings and republishes, so an
-// approx-derived schedule can never outlive its refinement.
-func (e *Engine) finishFastPlan(st *engineState, approxRoots []int, ps pendingSwap) *CachedPlan {
-	pcie := !st.nvlConnected
-	registered := false
-	for _, r := range approxRoots {
-		if e.registerPendingSwap(st, pcie, r, ps) {
-			registered = true
-		}
-	}
-	if registered {
-		return nil
-	}
-	plan, strategy, _, err := blinkPlan(e, st, ps.op, ps.root, ps.bytes, ps.po, ps.opts)
-	if err != nil {
-		return nil
-	}
-	cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
-	e.cache.PutTiered(ps.key, cp, encodeCachedPlan(cp))
-	return cp
+	entry.p, _, entry.err = e.pipe.PackRoot(g, root)
+	return entry.p, entry.err
 }
 
 // repairPackings seeds the post-fault state with incrementally repaired
@@ -238,10 +94,10 @@ func (e *Engine) repairPackings(old, st *engineState) {
 			e.mRepairFallbacks.Inc()
 			continue
 		}
-		p, approx, perr := entry.p, entry.approx, entry.err
+		p, perr := entry.p, entry.err
 		entry.mu.Unlock()
-		if p == nil || perr != nil || approx {
-			continue // nothing worth repairing; fast-path packings recompile in ~ms
+		if p == nil || perr != nil {
+			continue // nothing worth repairing
 		}
 		if vmap[root] < 0 {
 			continue // root itself was evicted; survivors recompile lazily
@@ -283,9 +139,8 @@ func deviceVertexMap(oldT, newT *topology.Topology) []int {
 // Prewarm compiles the packings for the given roots in parallel through the
 // pipeline's bounded worker pool (all roots when nil), so a service can pay
 // the cold TreeGen cost at startup instead of on the first dispatch of each
-// root. With the fast path enabled the approximate packings land first and
-// refinements stream in behind. Results are identical to lazy compilation —
-// only the latency moves.
+// root. Results are identical to lazy compilation — only the latency
+// moves.
 func (e *Engine) Prewarm(roots []int) error {
 	st := e.st.Load()
 	if st.switchFabric != nil {
@@ -300,14 +155,14 @@ func (e *Engine) Prewarm(roots []int) error {
 	pcie := !st.nvlConnected
 	errs := make([]error, len(roots))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.exactPipe.Workers())
+	sem := make(chan struct{}, e.pipe.Workers())
 	for i, r := range roots {
 		wg.Add(1)
 		go func(i, r int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			_, _, errs[i] = e.packingOn(st, pcie, r)
+			_, errs[i] = e.packingOn(st, pcie, r)
 		}(i, r)
 	}
 	wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"blink/internal/core"
 	"blink/internal/simgpu"
 	"blink/internal/topology"
 )
@@ -19,61 +20,12 @@ func newDGX1Engine(t *testing.T) *Engine {
 	return eng
 }
 
-// The fast path must publish a usable plan immediately and converge to the
-// exact packing (and the exact plan's simulated timing) once the background
-// refinement swaps in.
-func TestFastCompilePublishesThenRefines(t *testing.T) {
-	exact := newDGX1Engine(t)
-	exactRes, err := exact.Run(Blink, Broadcast, 0, 32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactPack, err := exact.Packing(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fast := newDGX1Engine(t)
-	fast.SetFastCompile(true)
-	fastRes, err := fast.Run(Blink, Broadcast, 0, 32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fastRes.Seconds <= 0 {
-		t.Fatalf("fast-path result not usable: %+v", fastRes)
-	}
-	if got := fast.Metrics().Counter("blink_fastpath_compiles_total").Value(); got == 0 {
-		t.Fatal("fast path did not record a compile")
-	}
-
-	fast.WaitRefinements()
-	refined, err := fast.Packing(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.Rate != exactPack.Rate {
-		t.Fatalf("refined rate %v != exact rate %v", refined.Rate, exactPack.Rate)
-	}
-	// The refinement republished the cached plan; the next dispatch must
-	// replay a schedule identical to the exact engine's.
-	swapRes, err := fast.Run(Blink, Broadcast, 0, 32<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if swapRes.Seconds != exactRes.Seconds {
-		t.Fatalf("post-swap makespan %v != exact makespan %v", swapRes.Seconds, exactRes.Seconds)
-	}
-	if got := fast.Metrics().Counter("blink_refine_swaps_total").Value(); got == 0 {
-		t.Fatal("refinement did not swap the pending plan")
-	}
-}
-
-// Concurrent fast-path dispatches across roots and ops must be race-free
-// (exercised under `make race`) and still converge to the exact packings.
-func TestFastCompileConcurrentDispatches(t *testing.T) {
-	exact := newDGX1Engine(t)
-	fast := newDGX1Engine(t)
-	fast.SetFastCompile(true)
+// Concurrent cold dispatches across roots and ops must be race-free
+// (exercised under `make race`) and resolve every root to the same packing
+// a sequential engine compiles.
+func TestConcurrentColdDispatchesAcrossRoots(t *testing.T) {
+	seq := newDGX1Engine(t)
+	conc := newDGX1Engine(t)
 
 	var wg sync.WaitGroup
 	errs := make([]error, 16)
@@ -85,7 +37,7 @@ func TestFastCompileConcurrentDispatches(t *testing.T) {
 			if i%2 == 1 {
 				op = AllReduce
 			}
-			_, errs[i] = fast.Run(Blink, op, i%8, 8<<20, Options{})
+			_, errs[i] = conc.Run(Blink, op, i%8, 8<<20, Options{})
 		}(i)
 	}
 	wg.Wait()
@@ -94,19 +46,42 @@ func TestFastCompileConcurrentDispatches(t *testing.T) {
 			t.Fatalf("dispatch %d: %v", i, err)
 		}
 	}
-	fast.WaitRefinements()
 	for root := 0; root < 8; root++ {
-		fp, err := fast.Packing(root)
+		cp, err := conc.Packing(root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep, err := exact.Packing(root)
+		sp, err := seq.Packing(root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fp.Rate != ep.Rate {
-			t.Fatalf("root %d: refined rate %v != exact rate %v", root, fp.Rate, ep.Rate)
+		if !reflect.DeepEqual(cp, sp) {
+			t.Fatalf("root %d: concurrently compiled packing differs from sequential", root)
 		}
+	}
+}
+
+// The codegen stage must time core.CodeGen alone, not the packing that
+// precedes it: one cold Blink Broadcast on a full DGX-1P spends tens of
+// milliseconds enumerating trees and well under one generating the
+// schedule.
+func TestCodegenStageExcludesPacking(t *testing.T) {
+	eng, err := NewEngine(topology.DGX1P(), []int{0, 1, 2, 3, 4, 5, 6, 7}, simgpu.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(Blink, Broadcast, 0, 64<<20, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	stage := func(name string) float64 {
+		return eng.Metrics().Histogram(`blink_compile_stage_seconds{stage="`+name+`"}`, nil).Sum()
+	}
+	enumerate, codegen := stage(core.StageEnumerate), stage(core.StageCodegen)
+	if enumerate <= 0 || codegen <= 0 {
+		t.Fatalf("stages not recorded: enumerate %v s, codegen %v s", enumerate, codegen)
+	}
+	if codegen >= enumerate {
+		t.Fatalf("codegen %v s >= enumerate %v s: the codegen timer includes packing", codegen, enumerate)
 	}
 }
 
@@ -153,29 +128,6 @@ func TestReconfigureIncrementalRepair(t *testing.T) {
 	}
 	// Post-repair dispatches must work.
 	if _, err := eng.Run(Blink, AllReduce, 0, 16<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// SetIncrementalRepair(false) must force the full-recompile baseline: no
-// repairs recorded, behavior identical to the pre-pipeline engine.
-func TestReconfigureRepairDisabled(t *testing.T) {
-	eng := newDGX1Engine(t)
-	if err := eng.Prewarm(nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.SetIncrementalRepair(false)
-	degraded, err := topology.DGX1V().WithoutLink(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Reconfigure(degraded, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Metrics().Counter("blink_repair_incremental_total").Value(); got != 0 {
-		t.Fatalf("repair ran %d times with incremental repair disabled", got)
-	}
-	if _, err := eng.Run(Blink, Broadcast, 0, 16<<20, Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -275,31 +227,4 @@ func TestPrewarmMatchesLazyCompilation(t *testing.T) {
 			t.Fatalf("root %d: prewarmed packing differs from lazy", root)
 		}
 	}
-}
-
-// A fast-path engine that reconfigures mid-refinement must not swap stale
-// plans into the new state's cache (the refinement checks the state
-// pointer) and must keep dispatching correctly.
-func TestFastCompileThenReconfigure(t *testing.T) {
-	eng := newDGX1Engine(t)
-	eng.SetFastCompile(true)
-	if _, err := eng.Run(Blink, Broadcast, 0, 16<<20, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	degraded, err := topology.DGX1V().WithoutLink(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Reconfigure(degraded, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.WaitRefinements()
-	res, err := eng.Run(Blink, Broadcast, 0, 16<<20, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Seconds <= 0 {
-		t.Fatalf("post-reconfigure dispatch unusable: %+v", res)
-	}
-	eng.WaitRefinements()
 }

@@ -235,18 +235,10 @@ type Engine struct {
 	mCompiles, mReplays, mReplans *obs.Counter
 	mReplanSeconds                *obs.Histogram
 
-	// Staged-compile state (compile.go): the exact and approximate planner
-	// pipelines, the fast-path / incremental-repair knobs, and the bounded
-	// background-refinement pool.
-	exactPipe  *core.PlannerPipeline
-	approxPipe *core.PlannerPipeline
-	fastPath   atomic.Bool
-	repairOff  atomic.Bool
-	refineWG   sync.WaitGroup
-	refineSem  chan struct{}
-	// Fast-path, refinement-swap and repair-outcome counters.
-	mFastCompiles, mRefineSwaps *obs.Counter
-	mRepairs, mRepairFallbacks  *obs.Counter
+	// Staged-compile state (compile.go): the planner pipeline and the
+	// repair-outcome counters.
+	pipe                       *core.PlannerPipeline
+	mRepairs, mRepairFallbacks *obs.Counter
 	// Remote-planner outcome counters.
 	mServiceHits, mServiceErrors *obs.Counter
 }
@@ -295,14 +287,9 @@ func NewEngine(machine *topology.Topology, devs []int, cfg simgpu.Config) (*Engi
 		id:     engineIDs.Add(1),
 		cfgKey: cfg.Normalized(),
 		obsReg: obs.NewRegistry(),
-		// Background refinements are strictly lower priority than dispatch
-		// work; two concurrent exact compiles keep the pipeline fed without
-		// starving foreground packing of cores.
-		refineSem: make(chan struct{}, 2),
 	}
 	e.resolveMetrics()
-	e.exactPipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
-	e.approxPipe = core.NewPlannerPipeline(core.PipelineOptions{Approx: true, OnStage: e.observeStage})
+	e.pipe = core.NewPlannerPipeline(core.PipelineOptions{OnStage: e.observeStage})
 	e.cache.Instrument(e.obsReg)
 	st, err := newEngineState(machine, devs, cfg)
 	if err != nil {
@@ -318,8 +305,6 @@ func (e *Engine) resolveMetrics() {
 	e.mReplays = e.obsReg.Counter("blink_plan_replays_total")
 	e.mReplans = e.obsReg.Counter("blink_replans_total")
 	e.mReplanSeconds = e.obsReg.Histogram("blink_replan_seconds", nil)
-	e.mFastCompiles = e.obsReg.Counter("blink_fastpath_compiles_total")
-	e.mRefineSwaps = e.obsReg.Counter("blink_refine_swaps_total")
 	e.mRepairs = e.obsReg.Counter("blink_repair_incremental_total")
 	e.mRepairFallbacks = e.obsReg.Counter("blink_repair_fallback_total")
 	e.mServiceHits = e.obsReg.Counter("blink_plan_service_hits_total")
@@ -423,12 +408,10 @@ func (e *Engine) reconfigureLocked(machine *topology.Topology, devs []int) error
 	if err != nil {
 		return err
 	}
-	if !e.repairOff.Load() {
-		// Seed the new state with incrementally repaired packings before it
-		// becomes visible: roots the fault barely touched replan in
-		// microseconds instead of recompiling from scratch (compile.go).
-		e.repairPackings(old, st)
-	}
+	// Seed the new state with incrementally repaired packings before it
+	// becomes visible: roots the fault barely touched replan in
+	// microseconds instead of recompiling from scratch (compile.go).
+	e.repairPackings(old, st)
 	e.st.Store(st)
 	if st.fingerprint != old.fingerprint {
 		e.cache.InvalidateFingerprint(old.fingerprint)
@@ -654,25 +637,29 @@ func (e *Engine) lookupOrCompile(st *engineState, b Backend, op Op, root int, by
 	// asynchronous CUDA stream issue.
 	po := core.PlanOptions{ChunkBytes: chunk, DataMode: opts.DataMode, NoStreamReuse: true}
 
-	var plan *core.Plan
+	var ir *core.PlanIR
+	var f *simgpu.Fabric
 	var err error
-	var approxRoots []int
-	strategy := ""
-
-	t0 := time.Now()
 	switch {
 	case st.switchFabric != nil:
-		plan, strategy, err = switchPlan(st, b, op, root, bytes, po, opts)
+		ir, f, err = switchIR(st, b, op, root, bytes, po, opts)
 	case b == Blink:
-		plan, strategy, approxRoots, err = blinkPlan(e, st, op, root, bytes, po, opts)
+		ir, f, err = e.blinkIR(st, op, root, bytes, po, opts)
 	default:
-		plan, strategy, err = ncclPlan(st, op, root, bytes, po, opts)
+		ir, f, err = ncclIR(st, op, root, bytes, po, opts)
 	}
 	if err != nil {
 		return nil, false, err
 	}
+	// The codegen stage times core.CodeGen alone: packing already ran (and
+	// reported its own stages) while the IR was built.
+	t0 := time.Now()
+	plan, err := core.CodeGen(ir, f)
+	if err != nil {
+		return nil, false, err
+	}
 	e.observeStage(core.StageCodegen, time.Since(t0).Seconds())
-	cp := &CachedPlan{Plan: plan.Freeze(), Strategy: strategy}
+	cp := &CachedPlan{Plan: plan.Freeze(), Strategy: ir.Strategy}
 	var owner uint64
 	if opts.Tenant != nil {
 		// Tag the entry so partition fairness charges the insert against
@@ -680,16 +667,6 @@ func (e *Engine) lookupOrCompile(st *engineState, b Backend, op Op, root int, by
 		owner = opts.Tenant.id
 	}
 	e.cache.PutTieredOwned(key, cp, encodeCachedPlan(cp), owner)
-	if len(approxRoots) > 0 {
-		// The plan embeds fast-path packings: register it for the refinement
-		// swap (or republish from the refined packings if refinement already
-		// finished — see compile.go).
-		if rc := e.finishFastPlan(st, approxRoots, pendingSwap{
-			key: key, op: op, root: root, bytes: bytes, po: po, opts: opts,
-		}); rc != nil {
-			cp = rc
-		}
-	}
 	// A Reconfigure may have swapped the engine and invalidated this
 	// fingerprint while we were compiling; re-check so the Put above cannot
 	// resurrect a dead topology's plan that would pin an LRU slot forever.
@@ -877,13 +854,11 @@ func toIRPairs(pairs []ring.P2PPair) []core.IRPair {
 	return out
 }
 
-// blinkPlan compiles a Blink schedule on a point-to-point machine: it
-// resolves the packings the op needs, records them (plus the op shape) into
-// a serializable PlanIR, and hands the IR to core.CodeGen. It also reports
-// which roots' packings were fast-path approximations at compile time (nil
-// when none), so the caller can register the plan for the background
-// refinement swap.
-func blinkPlan(e *Engine, st *engineState, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.Plan, string, []int, error) {
+// blinkIR describes a Blink schedule on a point-to-point machine: it
+// resolves (compiling on first use) the packings the op needs and records
+// them, plus the op shape, into a serializable PlanIR for core.CodeGen on
+// the returned fabric.
+func (e *Engine) blinkIR(st *engineState, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.PlanIR, *simgpu.Fabric, error) {
 	// NVLink alone may not span the allocation: Blink then packs PCIe trees
 	// (and routes point-to-point traffic through the hub).
 	f, pcie, strategy := st.nvlFabric, false, "trees"
@@ -892,57 +867,46 @@ func blinkPlan(e *Engine, st *engineState, op Op, root int, bytes int64, po core
 		f, pcie, strategy = st.pcieFabric, true, "pcie-trees"
 		fsel = core.FabricPCIe
 	}
-	var approxRoots []int
-	packAt := func(r int) (*core.Packing, error) {
-		p, approx, err := e.packingOn(st, pcie, r)
-		if err == nil && approx {
-			approxRoots = append(approxRoots, r)
-		}
-		return p, err
-	}
 	ir := &core.PlanIR{Fabric: fsel, Root: root, Bytes: bytes, Opts: po}
 	switch op {
 	case AllToAll:
 		n := st.topo.NumGPUs
 		packs := make([]*core.Packing, n)
 		for r := 0; r < n; r++ {
-			p, err := packAt(r)
+			p, err := e.packingOn(st, pcie, r)
 			if err != nil {
-				return nil, "", nil, err
+				return nil, nil, err
 			}
 			packs[r] = p
 		}
 		ir.Kind, ir.Packings, ir.Strategy = core.IRTreeAllToAll, packs, strategy+"+alltoall"
 	case SendRecv:
 		ir.Kind, ir.Chain, ir.Strategy = core.IRSendRecvChain, opts.Chain, strategy+"+sendrecv"
-		approxRoots = nil
 	case NeighborExchange:
 		ir.Kind, ir.Neighbors, ir.Strategy = core.IRNeighborExchange, opts.Neighbors, strategy+"+neighbor"
-		approxRoots = nil
 	default:
 		if opts.Hybrid && op == Broadcast && st.nvlConnected {
 			// Hybrid is handled by RunHybridBroadcast; plain Run ignores it
 			// for non-broadcast ops.
-			return nil, "", nil, fmt.Errorf("collective: use RunHybridBroadcast for hybrid transfers")
+			return nil, nil, fmt.Errorf("collective: use RunHybridBroadcast for hybrid transfers")
 		}
 		kind, suffix, err := treeIRKind(op)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, nil, err
 		}
-		p, err := packAt(root)
+		p, err := e.packingOn(st, pcie, root)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, nil, err
 		}
 		ir.Kind, ir.Packings, ir.Strategy = kind, []*core.Packing{p}, strategy+suffix
 	}
-	plan, err := core.CodeGen(ir, f)
-	return plan, ir.Strategy, approxRoots, err
+	return ir, f, nil
 }
 
-// ncclPlan compiles the baseline schedule on a point-to-point machine
+// ncclIR describes the baseline schedule on a point-to-point machine
 // through the same IR path: the IR records which ring family was selected;
 // the rings themselves are recomputed from the fabric at codegen.
-func ncclPlan(st *engineState, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.Plan, string, error) {
+func ncclIR(st *engineState, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.PlanIR, *simgpu.Fabric, error) {
 	rings := st.ncclRings()
 	// Figure 2b: no NVLink ring -> PCIe fallback.
 	f, fsel, pcie := st.nvlFabric, core.FabricNVLink, len(rings) == 0
@@ -954,7 +918,7 @@ func ncclPlan(st *engineState, op Op, root int, bytes int64, po core.PlanOptions
 	case isP2POp(op):
 		pairs, chained, err := p2pPairs(op, st.topo.NumGPUs, bytes, opts)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		ir.Pairs, ir.Chained = toIRPairs(pairs), chained
 		ir.Kind, ir.Strategy = core.IRRingP2P, "rings"
@@ -972,14 +936,13 @@ func ncclPlan(st *engineState, op Op, root int, bytes int64, po core.PlanOptions
 			ir.Kind, ir.Strategy = core.IRPCIeAllReduce, "pcie-ring"
 		}
 	}
-	plan, err := core.CodeGen(ir, f)
-	return plan, ir.Strategy, err
+	return ir, f, nil
 }
 
-// switchPlan compiles DGX-2 schedules through the IR path: Blink ops
+// switchIR describes DGX-2 schedules through the IR path: Blink ops
 // schedule over the precomputed one-hop packings (recorded into the IR);
 // the NCCL baseline uses the switch ring and double-binary-tree kinds.
-func switchPlan(st *engineState, b Backend, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.Plan, string, error) {
+func switchIR(st *engineState, b Backend, op Op, root int, bytes int64, po core.PlanOptions, opts Options) (*core.PlanIR, *simgpu.Fabric, error) {
 	f := st.switchFabric
 	ir := &core.PlanIR{Fabric: core.FabricSwitch, Root: root, Bytes: bytes, Opts: po}
 	if b == Blink {
@@ -987,7 +950,7 @@ func switchPlan(st *engineState, b Backend, op Op, root int, bytes int64, po cor
 		case Broadcast, Gather, Scatter:
 			kind, suffix, err := treeIRKind(op)
 			if err != nil {
-				return nil, "", err
+				return nil, nil, err
 			}
 			ir.Kind, ir.Packings, ir.Strategy = kind, []*core.Packing{st.oneHop[root]}, "one-hop"+suffix
 		case AllToAll:
@@ -999,14 +962,13 @@ func switchPlan(st *engineState, b Backend, op Op, root int, bytes int64, po cor
 		default:
 			ir.Kind, ir.Packings, ir.Strategy = core.IRDGX2AllReduce, st.oneHop, "one-hop"
 		}
-		plan, err := core.CodeGen(ir, f)
-		return plan, ir.Strategy, err
+		return ir, f, nil
 	}
 	switch {
 	case isP2POp(op):
 		pairs, chained, err := p2pPairs(op, st.topo.NumGPUs, bytes, opts)
 		if err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 		ir.Pairs, ir.Chained = toIRPairs(pairs), chained
 		ir.Kind, ir.Strategy = core.IRSwitchP2P, "ring"
@@ -1017,8 +979,7 @@ func switchPlan(st *engineState, b Backend, op Op, root int, bytes int64, po cor
 	default:
 		ir.Kind, ir.Strategy = core.IRSwitchAllReduce, "ring"
 	}
-	plan, err := core.CodeGen(ir, f)
-	return plan, ir.Strategy, err
+	return ir, f, nil
 }
 
 // FabricFor returns the fabric the given backend's plans move data over:
@@ -1051,7 +1012,7 @@ func (e *Engine) Packing(root int) (*core.Packing, error) {
 	if st.switchFabric != nil {
 		return st.oneHop[root], nil
 	}
-	p, _, err := e.packingOn(st, !st.nvlConnected, root)
+	p, err := e.packingOn(st, !st.nvlConnected, root)
 	return p, err
 }
 
@@ -1067,13 +1028,12 @@ func (e *Engine) RunHybridBroadcast(root int, bytes int64, opts Options) (Result
 	if root < 0 || root >= st.topo.NumGPUs {
 		return Result{}, nil, fmt.Errorf("collective: root %d out of range [0,%d)", root, st.topo.NumGPUs)
 	}
-	// Hybrid plans are built per call (no plan cache), so the refinement
-	// swap does not apply; the fast-path flag is irrelevant here.
-	pn, _, err := e.packingOn(st, false, root)
+	// Hybrid plans are built per call (no plan cache).
+	pn, err := e.packingOn(st, false, root)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	pp, _, err := e.packingOn(st, true, root)
+	pp, err := e.packingOn(st, true, root)
 	if err != nil {
 		return Result{}, nil, err
 	}

@@ -14,14 +14,21 @@ import (
 // guarantees that whenever the residual min-cut from the root is at least
 // r, there exists a spanning arborescence whose removal leaves min-cut at
 // least r-1. The peel searches deterministic cost perturbations until it
-// finds such a tree. It is exponential-free but slower than MWU+ILP, and
-// serves as the validation baseline for MinimizeTrees.
+// finds such a tree. It is far faster than MWU+ILP (under 1 ms against
+// 40-50 ms for root 0 of a full DGX-1P on a 2-vCPU Xeon VM), but the trees
+// it peels are deeper (depth 7 against 3 there), so at equal rate its
+// schedules have a longer makespan. It therefore serves as the
+// pipeline's fill stage and as the rate oracle for the production packer,
+// not as the default packer.
 func ExactPack(g *graph.Graph, root int) (*Packing, error) {
 	if g.N == 0 {
 		return nil, fmt.Errorf("core: empty graph")
 	}
 	if g.N == 1 {
 		return &Packing{Root: root, Rate: math.Inf(1)}, nil
+	}
+	if !g.StronglyConnectedFrom(root) {
+		return nil, ErrNoSpanningTree
 	}
 	for _, e := range g.Edges {
 		if e.Cap != math.Trunc(e.Cap) {

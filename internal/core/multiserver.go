@@ -414,17 +414,10 @@ func MultiServerAllReduce(c *topology.Cluster, cfg simgpu.Config, bytes int64, o
 		fabrics[si] = simgpu.NewFabric(s, s.GPUGraph(), cfg)
 	}
 	netFab := simgpu.NewFabric(c.Servers[0], c.Net, cfg)
-	packCache := map[[2]int]*Packing{}
+	// resolvePackings calls packFor concurrently, once per distinct
+	// (server, root) pair, so there is nothing to cache between calls.
 	packFor := func(si, root int) (*Packing, error) {
-		if pk, ok := packCache[[2]int{si, root}]; ok {
-			return pk, nil
-		}
-		pk, err := GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
-		if err != nil {
-			return nil, err
-		}
-		packCache[[2]int{si, root}] = pk
-		return pk, nil
+		return GenerateTrees(c.Servers[si].GPUGraph(), root, PackOptions{}, MinimizeOptions{})
 	}
 	tp, err := BuildThreePhaseAllReduce(c, fabrics, netFab, packFor, bytes, opts)
 	if err != nil {

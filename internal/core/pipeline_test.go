@@ -91,63 +91,6 @@ func TestPackRootMatchesGenerateTreesAndObservesStages(t *testing.T) {
 	}
 }
 
-// The approximate fast path must produce a valid packing with a positive
-// rate bounded by the min-cut, deterministically.
-func TestApproxPackValidAndDeterministic(t *testing.T) {
-	machine := topology.DGX1V()
-	graphs := []*topology.Topology{machine}
-	if d, err := machine.WithoutLink(0, 3); err == nil {
-		graphs = append(graphs, d)
-	}
-	if d, err := machine.WithLinkUnits(2, 3, 1); err == nil {
-		graphs = append(graphs, d)
-	}
-	for i, m := range graphs {
-		g := m.GPUGraph()
-		for root := 0; root < g.N; root += 3 {
-			a, err := ApproxPack(g, root)
-			if err != nil {
-				t.Fatalf("graph %d root %d: %v", i, root, err)
-			}
-			if err := a.Validate(g); err != nil {
-				t.Fatalf("graph %d root %d: invalid: %v", i, root, err)
-			}
-			if a.Rate <= 0 || a.Rate > a.Bound+1e-9 {
-				t.Fatalf("graph %d root %d: rate %v outside (0, bound %v]", i, root, a.Rate, a.Bound)
-			}
-			b, err := ApproxPack(g, root)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("graph %d root %d: ApproxPack not deterministic", i, root)
-			}
-		}
-	}
-}
-
-// Approx pipeline mode routes through ApproxPack and records its latency
-// under the enumerate stage.
-func TestPipelineApproxMode(t *testing.T) {
-	g := topology.DGX1V().GPUGraph()
-	seen := map[string]int{}
-	pl := NewPlannerPipeline(PipelineOptions{Approx: true, Workers: 1, OnStage: func(stage string, _ float64) { seen[stage]++ }})
-	p, _, err := pl.PackRoot(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ApproxPack(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p, want) {
-		t.Fatal("approx pipeline differs from ApproxPack")
-	}
-	if seen[StageEnumerate] != 1 || len(seen) != 1 {
-		t.Fatalf("stage observations %v, want only enumerate", seen)
-	}
-}
-
 // PackRoots propagates the packing error of a disconnected root.
 func TestPackRootsErrorPropagation(t *testing.T) {
 	g := graph.New(3)

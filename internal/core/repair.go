@@ -25,8 +25,8 @@ import (
 //     bidirectional NVLink fabric supports). Trees whose components cannot
 //     be reattached at their weight are dropped.
 //  4. Re-weight surviving trees up to their bottleneck residuals and grow
-//     new greedy trees over the remaining residual capacity (the ApproxPack
-//     peel), recovering rate lost to drops.
+//     new greedy bottleneck trees over the remaining residual capacity,
+//     recovering rate lost to drops.
 //
 // The repaired packing is validated structurally and against capacities,
 // and accepted only when its rate is within Threshold of the new graph's
@@ -193,7 +193,7 @@ func RepairPacking(oldG, newG *graph.Graph, vmap []int, p *Packing, opts RepairO
 	}
 
 	// Stage 4b: grow new greedy trees over the remaining residual capacity
-	// (the ApproxPack bottleneck peel, seeded with the repair's loads).
+	// left by the repair's loads.
 	grown := growResidualTrees(newG, newRoot, cap, load)
 
 	// Finalize: collect surviving and grown trees into a fresh packing.
@@ -429,9 +429,14 @@ func reversalPath(g *graph.Graph, rt *repairTree, entry int, cap, load []float64
 	return path, true
 }
 
-// growResidualTrees peels greedy bottleneck trees (the ApproxPack loop) out
-// of the residual capacity left after repair, recovering rate lost to
-// dropped trees.
+// growResidualTrees recovers rate lost to dropped trees by peeling greedy
+// bottleneck trees out of the residual capacity left after repair. Each
+// round takes a min-cost spanning arborescence over the edges with spare
+// capacity, costing an edge by its inverse residual so scarce edges are
+// saved for trees that need them, and weights the tree at its bottleneck
+// residual. That saturates at least one edge per round, so the loop ends
+// after at most one round per edge, or earlier once the residual graph no
+// longer spans the root.
 func growResidualTrees(g *graph.Graph, root int, cap, load []float64) []Tree {
 	resid := make([]float64, len(g.Edges))
 	for i := range resid {
