@@ -10,7 +10,7 @@ import (
 
 // settleGoroutines polls until the live goroutine count drops back to at
 // most base (plus a small allowance for runtime-internal goroutines), so
-// tests can assert the async stream workers are ephemeral — a leak fails
+// tests can assert the async lane workers are ephemeral — a leak fails
 // the deadline, not flakily.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
@@ -71,32 +71,31 @@ func TestAsyncHandleLifecycle(t *testing.T) {
 	}
 }
 
-// TestAsyncReconfigureRace floods two streams with async collectives while
-// ReconfigureExclude evicts a GPU mid-stream: every handle must resolve
+// TestAsyncReconfigureRace floods the lane scheduler with async
+// collectives while ReconfigureExclude evicts a GPU mid-flight: every handle must resolve
 // (result or clean error), in-flight submissions complete on their pinned
 // pre-fault snapshot, post-fault submissions see the shrunken
 // communicator, and no goroutines leak once the last handle resolves.
 func TestAsyncReconfigureRace(t *testing.T) {
 	base := runtime.NumGoroutine()
 
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, WithStreams(2))
+	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Pre-fault submissions, pinned across both streams. Root 7 is only
+	// Pre-fault submissions. Root 7 is only
 	// valid on the pre-fault topology: its handles succeeding proves the
 	// snapshot semantics, not luck.
 	var handles []*Handle
 	for i := 0; i < 12; i++ {
-		stream := i % 2
 		switch i % 3 {
 		case 0:
-			handles = append(handles, comm.AllReduceAsync(8<<20, OnStream(stream)))
+			handles = append(handles, comm.AllReduceAsync(8<<20))
 		case 1:
-			handles = append(handles, comm.BroadcastAsync(7, 4<<20, OnStream(stream)))
+			handles = append(handles, comm.BroadcastAsync(7, 4<<20))
 		case 2:
-			handles = append(handles, comm.ReduceAsync(7, 2<<20, OnStream(stream)))
+			handles = append(handles, comm.ReduceAsync(7, 2<<20))
 		}
 	}
 
@@ -162,33 +161,32 @@ func TestAsyncReconfigureRace(t *testing.T) {
 }
 
 // TestAsyncExchangeReconfigureRace is the point-to-point counterpart of
-// TestAsyncReconfigureRace: two streams flooded with AllToAllAsync and
+// TestAsyncReconfigureRace: the lanes flooded with AllToAllAsync and
 // SendRecvAsync submissions while ReconfigureExclude evicts GPU 7
-// mid-stream. Pre-fault chains through rank 7 ride their pinned snapshot
+// mid-flight. Pre-fault chains through rank 7 ride their pinned snapshot
 // and resolve successfully; post-fault submissions naming rank 7 fail
 // cleanly through the handle; the exchange ops valid on both topologies all
 // resolve; no goroutines leak.
 func TestAsyncExchangeReconfigureRace(t *testing.T) {
 	base := runtime.NumGoroutine()
 
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7}, WithStreams(2))
+	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3, 4, 5, 6, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Pre-fault submissions pinned across both streams. The chains end at
+	// Pre-fault submissions. The chains end at
 	// rank 7, valid only pre-fault: their success proves snapshot pinning.
 	var handles []*Handle
 	for i := 0; i < 12; i++ {
-		stream := i % 2
 		switch i % 3 {
 		case 0:
-			handles = append(handles, comm.AllToAllAsync(8<<20, OnStream(stream)))
+			handles = append(handles, comm.AllToAllAsync(8<<20))
 		case 1:
-			handles = append(handles, comm.SendRecvAsync([]int{0, 3, 7}, 2<<20, OnStream(stream)))
+			handles = append(handles, comm.SendRecvAsync([]int{0, 3, 7}, 2<<20))
 		case 2:
 			handles = append(handles, comm.NeighborExchangeAsync(
-				[][]int{{7}, {0}, {1}, {2}, {3}, {4}, {5}, {6}}, 1<<20, OnStream(stream)))
+				[][]int{{7}, {0}, {1}, {2}, {3}, {4}, {5}, {6}}, 1<<20))
 		}
 	}
 
@@ -252,10 +250,11 @@ func TestAsyncExchangeReconfigureRace(t *testing.T) {
 }
 
 // TestAsyncStreamWorkersEphemeral checks an idle communicator holds no
-// stream goroutines: workers spawn with work and exit when queues drain.
+// async worker goroutines: lane workers spawn with work and exit when the
+// lanes drain.
 func TestAsyncStreamWorkersEphemeral(t *testing.T) {
 	base := runtime.NumGoroutine()
-	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3}, WithStreams(4))
+	comm, err := NewComm(DGX1V(), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,9 +66,9 @@ type GroupResult = collective.GroupResult
 type CacheStats = collective.CacheStats
 
 // MetricsRegistry is a communicator's live metric registry: plan-cache
-// attribution, compile/replay counts, replan latency, async stream gauges
-// and per-op simulated-makespan histograms. Export with Snapshot(),
-// WritePrometheus or WriteJSON.
+// attribution, compile/replay counts, replan latency, lane scheduler
+// gauges and verdicts, and per-op simulated-makespan histograms. Export
+// with Snapshot(), WritePrometheus or WriteJSON.
 type MetricsRegistry = obs.Registry
 
 // MetricsSnapshot is a point-in-time copy of every metric in a registry.
@@ -83,8 +83,9 @@ type Timeline = obs.Timeline
 type Span = obs.Span
 
 // WriteSpanTrace renders spans as Chrome trace-event JSON (open in
-// chrome://tracing or Perfetto): one swimlane per async stream, sync
-// dispatches on lane 0, with queue-wait and execution as separate events.
+// chrome://tracing or Perfetto): one swimlane per lane of the async lane
+// scheduler, sync dispatches on pid 0, with queue-wait and execution as
+// separate events.
 func WriteSpanTrace(w io.Writer, spans []Span) error {
 	return trace.FromSpans(spans).Write(w)
 }
@@ -97,8 +98,6 @@ type commConfig struct {
 	backend     Backend
 	cacheCap    *int
 	cache       *PlanCache
-	streams     int
-	asyncWindow int64
 	storeDir    string
 	serviceAddr string
 	qos         *QoSConfig
@@ -131,18 +130,6 @@ func WithPlanCache(pc *PlanCache) Option {
 	return func(c *commConfig) { c.cache = pc }
 }
 
-// WithStreams sets how many FIFO worker streams the communicator's async
-// collectives fan out over (default collective.DefaultAsyncStreams). Ops
-// submitted to one stream execute in submission order; ops on different
-// streams overlap, chunk-pipelined against each other — NCCL stream
-// semantics.
-func WithStreams(n int) Option { return func(c *commConfig) { c.streams = n } }
-
-// WithAsyncWindow bounds the bytes in flight across all async streams:
-// once exceeded, *Async submissions block until completions free space
-// (default collective.DefaultAsyncWindowBytes; negative for unbounded).
-func WithAsyncWindow(bytes int64) Option { return func(c *commConfig) { c.asyncWindow = bytes } }
-
 // WithPlanStore persists compiled schedules under dir and warm-starts from
 // it: plans are serialized to their IR on compile and regenerated (with the
 // encoded header validated against the live topology) on the first dispatch
@@ -162,11 +149,15 @@ func WithPlanStore(dir string) Option { return func(c *commConfig) { c.storeDir 
 // availability. Single-machine communicators only.
 func WithPlanService(addr string) Option { return func(c *commConfig) { c.serviceAddr = addr } }
 
-// WithQoS tunes the communicator's multi-tenant lane scheduler — per-lane
-// queue bounds, byte watermarks, worker parallelism and the
-// starvation-avoidance aging knob — before the first tenant dispatch (see
-// QoSConfig; zero fields take the documented defaults). Only tenant
-// traffic (NewTenant) rides the lanes; untenanted calls are unaffected.
+// WithQoS tunes the communicator's lane scheduler — per-lane queue
+// bounds, byte watermarks, worker parallelism and the starvation-avoidance
+// aging knob — before the first async dispatch (see QoSConfig; zero fields
+// take the documented defaults). Every *Async call rides the lanes:
+// untenanted ones on the BulkGradient lane, where a full queue or a lane
+// past its low watermark makes the submission wait, and tenant traffic
+// (NewTenant) on its tenant's lane with non-blocking admission. Cluster
+// communicators take it too. Synchronous calls run on the caller's
+// goroutine and are unaffected.
 func WithQoS(cfg QoSConfig) Option { return func(c *commConfig) { c.qos = &cfg } }
 
 // PlanCache is a concurrency-safe LRU of compiled schedules, shareable
@@ -221,7 +212,6 @@ func NewComm(machine *Machine, devs []int, opts ...Option) (*Comm, error) {
 	if cfg.serviceAddr != "" {
 		eng.SetPlanService(plansvc.NewClient(cfg.serviceAddr))
 	}
-	eng.ConfigureAsync(cfg.streams, cfg.asyncWindow)
 	if cfg.qos != nil {
 		eng.ConfigureQoS(*cfg.qos)
 	}
@@ -270,8 +260,7 @@ func (c *Comm) ReconfigureExclude(evicted ...int) error {
 // exhausted quota surfaces as an error wrapping ErrAdmissionRejected.
 func (c *Comm) run(op collective.Op, root int, bytes int64, opts collective.Options) (Result, error) {
 	if c.tn != nil {
-		h, _ := c.eng.RunAsyncTenant(c.tn, c.backend, op, root, bytes, opts)
-		return h.Wait()
+		return c.runAsync(op, root, bytes, opts).Wait()
 	}
 	return c.eng.Run(c.backend, op, root, bytes, opts)
 }
@@ -387,112 +376,88 @@ func (c *Comm) NeighborExchange(neighbors [][]int, bytes int64) (Result, error) 
 // Handle is the caller's reference to one in-flight async collective: wait
 // with Wait (or select on Done), peek failures with Err, watch
 // chunk-granular progress with Progress.
-type Handle = collective.Handle
+type Handle = collective.Handle[Result]
 
-// ClusterHandle is the multi-server counterpart of Handle.
-type ClusterHandle = collective.ClusterHandle
+// ClusterHandle is the multi-server counterpart of Handle, resolving to a
+// ClusterResult.
+type ClusterHandle = collective.Handle[ClusterResult]
 
-// AsyncOpt tunes one async submission.
-type AsyncOpt func(*asyncCfg)
-
-type asyncCfg struct {
-	stream int
-}
-
-// OnStream pins the submission to worker stream s (ops on one stream
-// execute FIFO, in submission order; out-of-range indices wrap). Without
-// it, submissions round-robin across the communicator's streams.
-func OnStream(s int) AsyncOpt { return func(a *asyncCfg) { a.stream = s } }
-
-// asyncStream resolves the stream an async call targets (-1 = auto).
-func asyncStream(opts []AsyncOpt) int {
-	a := asyncCfg{stream: -1}
-	for _, o := range opts {
-		o(&a)
-	}
-	return a.stream
-}
-
-// runAsync submits a collective to the communicator's stream scheduler —
-// or, on a tenant view, through the tenant's QoS lane (OnStream is
-// ignored there: lane priority supersedes stream pinning, and a rejected
-// admission resolves the handle with ErrAdmissionRejected).
-func (c *Comm) runAsync(op collective.Op, root int, bytes int64, opts []AsyncOpt) *Handle {
-	return c.runAsyncOpts(op, root, bytes, collective.Options{}, opts)
-}
-
-func (c *Comm) runAsyncOpts(op collective.Op, root int, bytes int64, copts collective.Options, opts []AsyncOpt) *Handle {
+// runAsync submits a collective to the communicator's lane scheduler: on
+// the BulkGradient lane, waiting out backpressure, or on a tenant view
+// through the tenant's lane, where a rejected admission resolves the
+// handle with ErrAdmissionRejected.
+func (c *Comm) runAsync(op collective.Op, root int, bytes int64, opts collective.Options) *Handle {
 	if c.tn != nil {
-		h, _ := c.eng.RunAsyncTenant(c.tn, c.backend, op, root, bytes, copts)
+		h, _ := c.eng.RunAsyncTenant(c.tn, c.backend, op, root, bytes, opts)
 		return h
 	}
-	return c.eng.RunAsync(c.backend, op, root, bytes, copts, asyncStream(opts))
+	return c.eng.RunAsync(c.backend, op, root, bytes, opts)
 }
 
 // BroadcastAsync is the nonblocking Broadcast: it submits the collective
-// to one of the communicator's worker streams and returns immediately
-// (blocking only when the in-flight byte window is full). A training step
-// uses the async variants to overlap gradient communication with backward
-// compute and Wait on the handles before the optimizer step.
+// to the communicator's lane scheduler and returns immediately (blocking
+// only while its lane is full or past its low watermark; see WithQoS). A
+// training step uses the async variants to overlap gradient communication
+// with backward compute and Wait on the handles before the optimizer step.
 //
 // The topology state is pinned at submission: work in flight completes on
 // its snapshot even if the communicator is Reconfigured mid-op, while
 // every later submission sees the post-fault state.
-func (c *Comm) BroadcastAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.Broadcast, root, bytes, opts)
+func (c *Comm) BroadcastAsync(root int, bytes int64) *Handle {
+	return c.runAsync(collective.Broadcast, root, bytes, collective.Options{})
 }
 
 // AllReduceAsync is the nonblocking AllReduce (see BroadcastAsync for the
 // shared async semantics).
-func (c *Comm) AllReduceAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.AllReduce, 0, bytes, opts)
+func (c *Comm) AllReduceAsync(bytes int64) *Handle {
+	return c.runAsync(collective.AllReduce, 0, bytes, collective.Options{})
 }
 
 // ReduceAsync is the nonblocking Reduce.
-func (c *Comm) ReduceAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.Reduce, root, bytes, opts)
+func (c *Comm) ReduceAsync(root int, bytes int64) *Handle {
+	return c.runAsync(collective.Reduce, root, bytes, collective.Options{})
 }
 
 // GatherAsync is the nonblocking Gather.
-func (c *Comm) GatherAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.Gather, root, bytes, opts)
+func (c *Comm) GatherAsync(root int, bytes int64) *Handle {
+	return c.runAsync(collective.Gather, root, bytes, collective.Options{})
 }
 
 // ScatterAsync is the nonblocking Scatter.
-func (c *Comm) ScatterAsync(root int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.Scatter, root, bytes, opts)
+func (c *Comm) ScatterAsync(root int, bytes int64) *Handle {
+	return c.runAsync(collective.Scatter, root, bytes, collective.Options{})
 }
 
 // AllGatherAsync is the nonblocking AllGather.
-func (c *Comm) AllGatherAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.AllGather, 0, bytes, opts)
+func (c *Comm) AllGatherAsync(bytes int64) *Handle {
+	return c.runAsync(collective.AllGather, 0, bytes, collective.Options{})
 }
 
 // ReduceScatterAsync is the nonblocking ReduceScatter.
-func (c *Comm) ReduceScatterAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.ReduceScatter, 0, bytes, opts)
+func (c *Comm) ReduceScatterAsync(bytes int64) *Handle {
+	return c.runAsync(collective.ReduceScatter, 0, bytes, collective.Options{})
 }
 
 // AllToAllAsync is the nonblocking AllToAll (see BroadcastAsync for the
 // shared async semantics).
-func (c *Comm) AllToAllAsync(bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsync(collective.AllToAll, 0, bytes, opts)
+func (c *Comm) AllToAllAsync(bytes int64) *Handle {
+	return c.runAsync(collective.AllToAll, 0, bytes, collective.Options{})
 }
 
 // SendRecvAsync is the nonblocking SendRecv along the given rank chain.
-func (c *Comm) SendRecvAsync(chain []int, bytes int64, opts ...AsyncOpt) *Handle {
-	return c.runAsyncOpts(collective.SendRecv, 0, bytes,
-		collective.Options{Chain: append([]int(nil), chain...)}, opts)
+func (c *Comm) SendRecvAsync(chain []int, bytes int64) *Handle {
+	return c.runAsync(collective.SendRecv, 0, bytes,
+		collective.Options{Chain: append([]int(nil), chain...)})
 }
 
 // NeighborExchangeAsync is the nonblocking NeighborExchange.
-func (c *Comm) NeighborExchangeAsync(neighbors [][]int, bytes int64, opts ...AsyncOpt) *Handle {
+func (c *Comm) NeighborExchangeAsync(neighbors [][]int, bytes int64) *Handle {
 	rows := make([][]int, len(neighbors))
 	for i, r := range neighbors {
 		rows[i] = append([]int(nil), r...)
 	}
-	return c.runAsyncOpts(collective.NeighborExchange, 0, bytes,
-		collective.Options{Neighbors: rows}, opts)
+	return c.runAsync(collective.NeighborExchange, 0, bytes,
+		collective.Options{Neighbors: rows})
 }
 
 // dataSnapshot pins the engine's topology state for one data-mode call, so
@@ -904,7 +869,9 @@ func NewClusterComm(cluster *Cluster, opts ...Option) (*ClusterComm, error) {
 		// service cannot reproduce; fail loudly instead of silently ignoring.
 		return nil, fmt.Errorf("blink: WithPlanService is single-machine only (cluster plans are not remotely servable)")
 	}
-	eng.ConfigureAsync(cfg.streams, cfg.asyncWindow)
+	if cfg.qos != nil {
+		eng.ConfigureQoS(*cfg.qos)
+	}
 	return &ClusterComm{eng: eng, backend: cfg.backend}, nil
 }
 
@@ -966,21 +933,21 @@ func (c *ClusterComm) BroadcastData(root int, data []float32) ([][]float32, erro
 	return outs, err
 }
 
-// AllReduceAsync is the nonblocking cluster AllReduce: submitted to one of
-// the communicator's worker streams, resolved through the returned handle
+// AllReduceAsync is the nonblocking cluster AllReduce: submitted to the
+// communicator's BulkGradient lane, resolved through the returned handle
 // (which carries the three-phase timing breakdown under the Blink
-// backend). Semantics match Comm.BroadcastAsync: FIFO per stream,
-// backpressure on the in-flight byte window, and the cluster state pinned
-// at submission, so in-flight work completes on its snapshot while later
-// submissions see a post-fault cluster.
-func (c *ClusterComm) AllReduceAsync(bytes int64, opts ...AsyncOpt) *ClusterHandle {
-	return c.eng.RunAsync(c.backend, collective.AllReduce, 0, bytes, collective.Options{}, asyncStream(opts))
+// backend). Semantics match Comm.BroadcastAsync: waiting backpressure on
+// the lane's bounds, and the cluster state pinned at submission, so
+// in-flight work completes on its snapshot while later submissions see a
+// post-fault cluster.
+func (c *ClusterComm) AllReduceAsync(bytes int64) *ClusterHandle {
+	return c.eng.RunAsync(c.backend, collective.AllReduce, 0, bytes, collective.Options{})
 }
 
 // BroadcastAsync is the nonblocking cluster Broadcast from global rank
 // root.
-func (c *ClusterComm) BroadcastAsync(root int, bytes int64, opts ...AsyncOpt) *ClusterHandle {
-	return c.eng.RunAsync(c.backend, collective.Broadcast, root, bytes, collective.Options{}, asyncStream(opts))
+func (c *ClusterComm) BroadcastAsync(root int, bytes int64) *ClusterHandle {
+	return c.eng.RunAsync(c.backend, collective.Broadcast, root, bytes, collective.Options{})
 }
 
 // ReconfigureWithoutServer shrinks the communicator after losing a whole

@@ -182,3 +182,38 @@ func TestClusterCommGroupedDispatch(t *testing.T) {
 		t.Fatalf("warm group diverged: %v != %v", warm.Seconds, cold.Seconds)
 	}
 }
+
+// TestClusterCommQoSBackpressure checks WithQoS reaches a cluster
+// communicator's lane scheduler: with one worker and a 16 MB BulkGradient
+// low watermark, a burst of AllReduceAsync calls waits out the watermark
+// (counted as deferrals) and every handle resolves to the synchronous
+// result.
+func TestClusterCommQoSBackpressure(t *testing.T) {
+	cfg := QoSConfig{Workers: 1}
+	cfg.Lanes[ClassBulkGradient] = LaneConfig{LowWater: 16 << 20}
+	cc, err := NewClusterComm(twoServerCluster(t, 4, 4, 100), WithQoS(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bytes = 16 << 20
+	want, err := cc.AllReduce(bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs []*ClusterHandle
+	for i := 0; i < 8; i++ {
+		hs = append(hs, cc.AllReduceAsync(bytes))
+	}
+	for i, h := range hs {
+		got, err := h.Wait()
+		if err != nil {
+			t.Fatalf("handle %d: %v", i, err)
+		}
+		if got != want {
+			t.Fatalf("handle %d: async %+v != sync %+v", i, got, want)
+		}
+	}
+	if cc.MetricsSnapshot().Counters[`blink_admission_total{lane="BulkGradient",verdict="defer"}`] == 0 {
+		t.Fatal("burst past the 16 MB watermark never waited: WithQoS did not reach the cluster lanes")
+	}
+}

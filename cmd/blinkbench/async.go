@@ -27,7 +27,7 @@ type overlapCase struct {
 	SequentialMillis float64 `json:"sequentialStepMillis"`
 	OverlappedMillis float64 `json:"overlappedStepMillis"`
 	// Speedup is sequential/overlapped step throughput (>= 1 means the
-	// async streams hid communication behind compute).
+	// async lane workers hid communication behind compute).
 	Speedup float64 `json:"overlapSpeedup"`
 }
 
@@ -46,7 +46,7 @@ type asyncReport struct {
 	Methodology  string         `json:"methodology"`
 	Machine      string         `json:"machine"`
 	Ranks        int            `json:"ranks"`
-	Streams      int            `json:"streams"`
+	LaneWorkers  int            `json:"laneWorkers"`
 	GoVersion    string         `json:"goVersion"`
 	GOMAXPROCS   int            `json:"gomaxprocs"`
 	Iterations   int            `json:"iterationsPerCase"`
@@ -60,7 +60,9 @@ type asyncReport struct {
 }
 
 const asyncMethodology = "One timing-mode engine over a full 8-GPU DGX-1V " +
-	"with 2 async worker streams. Overlap: each workload is a synthetic DDP " +
+	"whose AllReduceAsync calls ride the untenanted BulkGradient lane of its " +
+	"lane scheduler with its default pool of laneWorkers dispatch workers. " +
+	"Overlap: each workload is a synthetic DDP " +
 	"gradient footprint (equal fused buckets totalling 1-3 GB, the regime " +
 	"where dispatch wall time is far above the ~1 ms OS timer quantum); the " +
 	"warm blocking TrainStep dispatch wall time is calibrated per workload " +
@@ -73,7 +75,7 @@ const asyncMethodology = "One timing-mode engine over a full 8-GPU DGX-1V " +
 	"(plans frozen by a discarded cold step). Dispatch throughput: a sliding " +
 	"window of K in-flight AllReduceAsync handles (K = 1, 4, 8) over a fixed " +
 	"payload, opsPerSec = ops/wall; gains beyond 1 in flight come from " +
-	"chunk-pipelined replay overlap across streams and submission latency " +
+	"chunk-pipelined replay overlap across lane workers and submission latency " +
 	"hiding, bounded by GOMAXPROCS."
 
 // ddpWorkload builds a synthetic data-parallel gradient footprint: buckets
@@ -102,7 +104,7 @@ func runAsyncBench(out io.Writer) error {
 		Methodology: asyncMethodology,
 		Machine:     machine.Name,
 		Ranks:       len(devs),
-		Streams:     eng.AsyncStreams(),
+		LaneWorkers: collective.DefaultQoSWorkers,
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Iterations:  iters,
@@ -179,7 +181,7 @@ func runAsyncBench(out io.Writer) error {
 	var base float64
 	for _, k := range []int{1, 4, 8} {
 		start := time.Now()
-		inflight := make(chan *collective.Handle, k)
+		inflight := make(chan *collective.Handle[collective.Result], k)
 		done := make(chan error, 1)
 		go func() {
 			var ferr error
@@ -191,7 +193,7 @@ func runAsyncBench(out io.Writer) error {
 			done <- ferr
 		}()
 		for i := 0; i < totalOps; i++ {
-			inflight <- eng.RunAsync(collective.Blink, collective.AllReduce, 0, payload, collective.Options{}, -1)
+			inflight <- eng.RunAsync(collective.Blink, collective.AllReduce, 0, payload, collective.Options{})
 		}
 		close(inflight)
 		if err := <-done; err != nil {

@@ -10,7 +10,7 @@
 //	blinkbench -cluster -o BENCH_cluster.json      # three-phase vs flat ring
 //	blinkbench -dataconc -o BENCH_dataConcurrency.json  # data-mode caller scaling
 //	blinkbench -resilience -o BENCH_resilience.json  # training across mid-run faults
-//	blinkbench -async -o BENCH_async.json            # async-stream overlap + dispatch throughput
+//	blinkbench -async -o BENCH_async.json            # async overlap + dispatch throughput
 //	blinkbench -mixed -o BENCH_mixed.json            # AllToAll / SendRecv / NeighborExchange vs flat ring
 //	blinkbench -obs -o BENCH_obs.txt                 # replay-determinism gate + metrics + span dump
 //	blinkbench -compile -o BENCH_compile.json        # staged compile: first cold plan per root + incremental repair
@@ -35,7 +35,7 @@ func main() {
 	clusterBench := flag.Bool("cluster", false, "benchmark multi-server three-phase vs flat-ring collectives and emit JSON")
 	dataconc := flag.Bool("dataconc", false, "benchmark data-mode throughput vs concurrent caller count and emit JSON")
 	resilience := flag.Bool("resilience", false, "benchmark training runs surviving mid-run topology faults and emit JSON")
-	async := flag.Bool("async", false, "benchmark async-stream overlap and dispatch throughput and emit JSON")
+	async := flag.Bool("async", false, "benchmark async overlap and dispatch throughput and emit JSON")
 	mixed := flag.Bool("mixed", false, "benchmark AllToAll/SendRecv/NeighborExchange vs the flat-ring baseline and emit JSON")
 	obsFlag := flag.Bool("obs", false, "run the seeded replay-determinism gate and emit metrics + span dump")
 	compileFlag := flag.Bool("compile", false, "benchmark the staged compile pipeline (first cold plan per root, incremental repair) and emit JSON")

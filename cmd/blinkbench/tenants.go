@@ -25,9 +25,9 @@ type tenantScale struct {
 	// UncontendedP99Micros is the p99 of the same latency-critical ops on
 	// an otherwise idle engine with the QoS scheduler active.
 	UncontendedP99Micros float64 `json:"uncontendedP99Micros"`
-	// FIFOP99Micros is the p99 when every class shares the untenanted
-	// FIFO dispatch path: small critical ops queue behind 32 MB bulk
-	// transfers (the priority inversion).
+	// FIFOP99Micros is the p99 when every class is issued untenanted and
+	// shares the BulkGradient lane: small critical ops queue behind 32 MB
+	// bulk transfers (the priority inversion).
 	FIFOP99Micros float64 `json:"fifoP99Micros"`
 	// QoSP99Micros is the p99 through the tenant lanes under the same mix.
 	QoSP99Micros float64 `json:"qosP99Micros"`
@@ -63,9 +63,10 @@ const tenantsMethodology = "One timing-mode engine over a full 8-GPU DGX-1V. " +
 	"Per-op latency is submit-to-handle-resolution wall time. Uncontended: " +
 	"the same latency-critical ops alone on an idle engine with the QoS " +
 	"scheduler active (same worker pool), p99 across all such ops. FIFO " +
-	"baseline: the identical mixed load issued untenanted through the " +
-	"engine's single-class async path, so 1 MB critical ops queue behind " +
-	"32 MB bulk transfers in arrival order. QoS: the identical load through " +
+	"baseline: the identical mixed load issued untenanted, so every op " +
+	"rides the engine's BulkGradient lane (same worker pool, no priority) " +
+	"and 1 MB critical ops queue behind 32 MB bulk transfers in arrival " +
+	"order. QoS: the identical load through " +
 	"per-tenant lanes with strict-priority dispatch. The gate requires, at " +
 	"every scale, QoS p99 <= 2x uncontended p99 and <= the FIFO p99."
 
@@ -204,7 +205,8 @@ func runTenantsBench(out io.Writer) error {
 			return err
 		}
 
-		// FIFO baseline: the full mix, untenanted, single class.
+		// FIFO baseline: the full mix, untenanted, all on the
+		// BulkGradient lane.
 		comm, err = newBenchComm()
 		if err != nil {
 			return err

@@ -46,8 +46,8 @@ type ClusterEngine struct {
 	// reconfigurations re-attach it to freshly probed server engines.
 	store *PlanStore
 
-	// async is the lazily started stream scheduler behind RunAsync.
-	async asyncRuntime
+	// qos is the lazily started lane scheduler behind RunAsync.
+	qos qosRuntime
 
 	// Observability state, mirroring Engine: a per-communicator metrics
 	// registry, an optional span timeline, and registry-resolved dispatch

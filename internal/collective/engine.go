@@ -124,12 +124,6 @@ type Options struct {
 	// schedule serves every arena. Nil with DataMode falls back to a
 	// throwaway arena (timing only).
 	Buffers *simgpu.BufferSet
-	// Class is the QoS class the dispatch's bytes count against in the
-	// async stream scheduler's per-class admission window. The zero value
-	// is BulkGradient, so untagged calls keep the legacy semantics. Not
-	// part of the plan-cache key: the same frozen schedule serves every
-	// class.
-	Class Class
 	// Tenant attributes the dispatch to a tenant for cache accounting and
 	// cache-partition fairness (set by the tenant entry points; nil for
 	// untenanted calls). Not part of the plan-cache key.
@@ -214,16 +208,13 @@ type Engine struct {
 	// remove latency, not availability.
 	svc PlanService
 
-	// async is the lazily started stream scheduler behind RunAsync.
-	async asyncRuntime
-
-	// qos is the lazily started multi-tenant lane scheduler behind
+	// qos is the lazily started lane scheduler behind RunAsync and
 	// RunAsyncTenant; tenantCount sizes the plan cache's per-owner fair
 	// share.
 	qos         qosRuntime
 	tenantCount atomic.Int64
 
-	// obsReg is the engine's metrics registry: cache, stream and dispatch
+	// obsReg is the engine's metrics registry: cache, lane and dispatch
 	// metrics all land here. It exists from construction — an unread
 	// registry costs a few atomic adds per dispatch — and is exposed via
 	// Metrics() for export.
@@ -312,7 +303,7 @@ func (e *Engine) resolveMetrics() {
 }
 
 // Metrics returns the engine's metrics registry: plan-cache activity,
-// compile/replay counters, replan latency, async stream gauges and per-op
+// compile/replay counters, replan latency, lane scheduler gauges and per-op
 // simulated-makespan histograms, exportable via Snapshot/WritePrometheus.
 func (e *Engine) Metrics() *obs.Registry { return e.obsReg }
 

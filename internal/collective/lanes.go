@@ -178,6 +178,10 @@ type laneState struct {
 	// outstanding is the lane's admitted-and-unfinished bytes (queued plus
 	// executing); watermark admission reads it at submit time.
 	outstanding int64
+	// waiters counts untenanted submitters blocked on the lane's bounds.
+	// While any wait, tenant submissions to the lane are rejected, so
+	// tenants ignoring the defer signal cannot hold the room they wait for.
+	waiters int
 
 	depth    *obs.Gauge
 	wait     *obs.Histogram
@@ -189,21 +193,28 @@ type laneSub struct {
 	class  Class
 	tenant *Tenant
 	bytes  int64
-	run    func()
+	// wait turns the lane's defer and reject verdicts into backpressure:
+	// the submitter blocks until completions bring the lane back under its
+	// bounds (untenanted async traffic; tenant admission never blocks).
+	wait bool
+	run  func()
 }
 
-// laneScheduler is the multi-tenant QoS dispatcher: three priority lanes
+// laneScheduler is the one async runtime: three priority lanes
 // (LatencyCritical > BulkGradient > Telemetry) with bounded queues and
 // byte watermarks, drained by a bounded pool of ephemeral workers in
 // strict priority order with an aging escape hatch. It is the
 // RSPP-lane-scheduler analogue for collectives: admission control happens
-// at submit time (admit/defer/reject), priority at dispatch time.
+// at submit time (admit/defer/reject for tenants, defer-then-wait for
+// untenanted traffic), priority at dispatch time.
 //
-// Workers are ephemeral like the async stream workers: spawned while
-// there is pending work, exiting when every lane drains, so an idle
-// engine holds no goroutines.
+// Workers are ephemeral: spawned while there is pending work, exiting when
+// every lane drains, so an idle engine holds no goroutines.
 type laneScheduler struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// space is signaled whenever a worker finishes an op, waking waiting
+	// submitters to re-check their lane's bounds.
+	space   sync.Cond
 	lanes   [NumClasses]laneState
 	workers int
 	active  int
@@ -227,6 +238,7 @@ func newLaneScheduler(cfg QoSConfig, reg *obs.Registry) *laneScheduler {
 		aging:   cfg.AgingAfter,
 		mAged:   reg.Counter("blink_lane_aged_dispatch_total"),
 	}
+	s.space.L = &s.mu
 	for c := Class(0); c < NumClasses; c++ {
 		ln := &s.lanes[c]
 		ln.cfg = cfg.Lanes[c]
@@ -240,39 +252,55 @@ func newLaneScheduler(cfg QoSConfig, reg *obs.Registry) *laneScheduler {
 	return s
 }
 
-// submit runs admission for one op and, when admitted, queues it on its
-// class lane (spawning a worker if the pool has room). It never blocks:
-// the verdict is decided immediately from the lane's queue bound, its
-// watermarks, and the tenant's quotas, in that order of severity —
-// rejections never enqueue and never run.
-func (s *laneScheduler) submit(sub laneSub) Verdict {
-	if !sub.class.valid() {
-		sub.class = BulkGradient
+// admission is the lane's verdict on one more op of bytes from tenant t
+// (nil-safe), in order of severity: reject past t's quotas, at the
+// bounded queue's capacity or at the high watermark; defer at the low
+// watermark; admit otherwise. An op larger than a watermark is judged by
+// the lane's current level alone, so it still enters whenever the lane is
+// below the mark and runs instead of deadlocking.
+func (ln *laneState) admission(t *Tenant, bytes int64) Verdict {
+	switch {
+	case !t.admitWithinQuota(bytes),
+		ln.cfg.QueueCap > 0 && len(ln.pending) >= ln.cfg.QueueCap,
+		ln.cfg.HighWater > 0 && ln.outstanding >= ln.cfg.HighWater:
+		return VerdictReject
+	case ln.cfg.LowWater > 0 && ln.outstanding >= ln.cfg.LowWater:
+		return VerdictDefer
 	}
+	return VerdictAdmit
+}
+
+// submit runs admission for one op of a valid class and, when admitted,
+// queues it on its class lane (spawning a worker if the pool has room).
+// A tenant submission never blocks: its verdict is decided immediately,
+// and rejections never enqueue and never run. A waiting submission blocks
+// instead of being deferred or rejected until the lane admits it, and
+// then counts as VerdictDefer; while it blocks, the lane rejects every
+// non-waiting submission, so completions drain the lane for the waiters
+// rather than making room for new tenant work.
+func (s *laneScheduler) submit(sub laneSub) Verdict {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	ln := &s.lanes[sub.class]
 	t := sub.tenant
 	t.noteSubmitted(sub.bytes)
-	reject := func() Verdict {
-		ln.verdicts[VerdictReject].Inc()
-		t.noteRejected(sub.bytes)
-		s.mu.Unlock()
-		return VerdictReject
-	}
-	if !t.admitWithinQuota(sub.bytes) {
-		return reject()
-	}
-	if ln.cfg.QueueCap > 0 && len(ln.pending) >= ln.cfg.QueueCap {
-		return reject()
-	}
-	if ln.cfg.HighWater > 0 && ln.outstanding >= ln.cfg.HighWater {
-		return reject()
-	}
-	v := VerdictAdmit
-	if ln.cfg.LowWater > 0 && ln.outstanding >= ln.cfg.LowWater {
+	v := ln.admission(t, sub.bytes)
+	switch {
+	case sub.wait && v != VerdictAdmit:
+		ln.waiters++
+		for ln.admission(t, sub.bytes) != VerdictAdmit {
+			s.space.Wait()
+		}
+		ln.waiters--
 		v = VerdictDefer
+	case !sub.wait && ln.waiters > 0:
+		v = VerdictReject
 	}
 	ln.verdicts[v].Inc()
+	if v == VerdictReject {
+		t.noteRejected(sub.bytes)
+		return v
+	}
 	t.noteAdmitted(sub.bytes, v == VerdictDefer)
 	ln.outstanding += sub.bytes
 	ln.pending = append(ln.pending, laneTask{
@@ -283,7 +311,6 @@ func (s *laneScheduler) submit(sub laneSub) Verdict {
 		s.active++
 		go s.work()
 	}
-	s.mu.Unlock()
 	return v
 }
 
@@ -350,10 +377,12 @@ func (s *laneScheduler) pickLocked(now time.Time) (laneTask, Class, bool, bool) 
 }
 
 // work is one dispatch worker: pick-run-release until every lane is
-// empty, then exit.
+// empty, then exit. Releasing a finished op and picking the next happen
+// under one hold of mu, so submitters woken by the release see the queue
+// slot the pick frees as well.
 func (s *laneScheduler) work() {
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
 		task, class, aged, ok := s.pickLocked(time.Now())
 		if !ok {
 			s.active--
@@ -371,7 +400,7 @@ func (s *laneScheduler) work() {
 		s.mu.Lock()
 		s.lanes[class].outstanding -= task.bytes
 		task.tenant.noteDone(task.bytes)
-		s.mu.Unlock()
+		s.space.Broadcast()
 	}
 }
 
@@ -389,4 +418,31 @@ func (s *laneScheduler) quiesced() bool {
 		}
 	}
 	return true
+}
+
+// qosRuntime is the lazily built lane scheduler an Engine or ClusterEngine
+// carries: configuration applies until first use, then the scheduler is
+// live, so a communicator that never goes async pays nothing.
+type qosRuntime struct {
+	mu    sync.Mutex
+	cfg   QoSConfig
+	sched *laneScheduler
+}
+
+// configure replaces the pending QoS configuration. Once async ops have
+// been issued the scheduler is live and the call no longer affects it.
+func (q *qosRuntime) configure(cfg QoSConfig) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.cfg = cfg
+}
+
+// scheduler returns the live lane scheduler, starting it on first use.
+func (q *qosRuntime) scheduler(reg *obs.Registry) *laneScheduler {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.sched == nil {
+		q.sched = newLaneScheduler(q.cfg, reg)
+	}
+	return q.sched
 }

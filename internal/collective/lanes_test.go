@@ -230,6 +230,39 @@ func TestLaneQueueCapRejects(t *testing.T) {
 	waitQuiesced(t, s)
 }
 
+// TestLaneSchedulerDrainReleasesBacking checks a drained lane holds no
+// finished closures: the popped slots are zeroed and the backing array is
+// dropped once the lane empties, so the buffers those closures captured
+// can be collected, and the lane's depth gauge reads zero.
+func TestLaneSchedulerDrainReleasesBacking(t *testing.T) {
+	s := newLaneScheduler(QoSConfig{Workers: 1}, nil)
+	release := make(chan struct{})
+	blocked := make(chan struct{})
+	s.submit(laneSub{class: BulkGradient, bytes: 1, run: func() { close(blocked); <-release }})
+	<-blocked
+	const n = 64
+	for i := 0; i < n; i++ {
+		buf := make([]byte, 1<<10)
+		s.submit(laneSub{class: BulkGradient, bytes: 1, run: func() { buf[0]++ }})
+	}
+	s.mu.Lock()
+	ln := &s.lanes[BulkGradient]
+	if len(ln.pending) != n || ln.depth.Value() != n {
+		t.Fatalf("queued %d ops (depth gauge %d), want %d", len(ln.pending), ln.depth.Value(), n)
+	}
+	s.mu.Unlock()
+	close(release)
+	waitQuiesced(t, s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ln.pending != nil {
+		t.Fatalf("drained lane kept its backing array (len %d, cap %d)", len(ln.pending), cap(ln.pending))
+	}
+	if d := ln.depth.Value(); d != 0 {
+		t.Fatalf("drained lane depth gauge %d, want 0", d)
+	}
+}
+
 // TestLaneQuotaRejects checks per-tenant byte and op quotas bound
 // outstanding work and release as ops complete.
 func TestLaneQuotaRejects(t *testing.T) {
@@ -372,7 +405,7 @@ func TestRunAsyncTenantRejectResolvesHandle(t *testing.T) {
 	// The op quota is 1 outstanding: the next submission must reject unless
 	// the first already completed; loop until we catch the window (first
 	// iteration almost always does).
-	var rejected *Handle
+	var rejected *Handle[Result]
 	for i := 0; i < 100; i++ {
 		h2, v2 := eng.RunAsyncTenant(tn, Blink, AllReduce, 0, 8<<20, Options{})
 		if v2 == VerdictReject {

@@ -40,7 +40,7 @@ func TestExchangeOpsObservability(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for _, tc := range cases {
-					h := eng.RunAsync(Blink, tc.op, 0, 8<<20, tc.opts, -1)
+					h := eng.RunAsync(Blink, tc.op, 0, 8<<20, tc.opts)
 					if _, err := h.Wait(); err != nil {
 						errs <- err
 					}
@@ -65,8 +65,8 @@ func TestExchangeOpsObservability(t *testing.T) {
 		if s.Err != "" {
 			t.Fatalf("span %s failed: %s", s.Name, s.Err)
 		}
-		if s.Stream < 0 {
-			t.Fatalf("async span %s kept placeholder stream %d", s.Name, s.Stream)
+		if s.Stream != int(BulkGradient) {
+			t.Fatalf("async span %s recorded lane %d, want BulkGradient", s.Name, s.Stream)
 		}
 		if s.SimSeconds <= 0 || s.Chunks == 0 {
 			t.Fatalf("span %s missing simulation outcome: %+v", s.Name, s)
@@ -137,7 +137,7 @@ func TestExchangeOpsObservability(t *testing.T) {
 }
 
 // TestSyncDispatchSpans checks synchronous Run calls record spans too, with
-// the sentinel stream -1 (they never enter the stream scheduler).
+// the sentinel stream -1 (they never enter the lane scheduler).
 func TestSyncDispatchSpans(t *testing.T) {
 	eng := newTestEngine(t)
 	tl := eng.EnableTimeline()

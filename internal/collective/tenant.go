@@ -2,9 +2,9 @@ package collective
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"blink/internal/core"
 	"blink/internal/obs"
 )
 
@@ -173,40 +173,6 @@ func (t *Tenant) noteLookup(hit bool) {
 	}
 }
 
-// qosRuntime is the lazily built lane-scheduler state an Engine carries,
-// mirroring asyncRuntime: configuration applies until first use, then the
-// scheduler is live.
-type qosRuntime struct {
-	mu    sync.Mutex
-	cfg   QoSConfig
-	sched *laneScheduler
-}
-
-// configure replaces the pending QoS configuration. Once tenant ops have
-// been issued the scheduler is live and the call no longer affects it.
-func (q *qosRuntime) configure(cfg QoSConfig) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.cfg = cfg
-}
-
-// scheduler returns the live lane scheduler, starting it on first use.
-func (q *qosRuntime) scheduler(reg *obs.Registry) *laneScheduler {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.sched == nil {
-		q.sched = newLaneScheduler(q.cfg, reg)
-	}
-	return q.sched
-}
-
-// ConfigureQoS tunes the engine's multi-tenant lane scheduler before
-// first tenant use (see QoSConfig; zero fields take the documented
-// defaults).
-func (e *Engine) ConfigureQoS(cfg QoSConfig) {
-	e.qos.configure(cfg)
-}
-
 // NewTenant registers a tenant on the engine. Every registered tenant
 // narrows the plan cache's per-owner fair share (capacity / tenants), so
 // one tenant churning through shapes evicts its own plans before anyone
@@ -239,38 +205,22 @@ func (e *Engine) NewTenant(cfg TenantConfig) *Tenant {
 // blocks: overload surfaces as a verdict, not latency.
 //
 // Topology state is pinned at submission, exactly as in RunAsync.
-func (e *Engine) RunAsyncTenant(tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (*Handle, Verdict) {
+func (e *Engine) RunAsyncTenant(tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (*Handle[Result], Verdict) {
 	return e.runAsyncTenant(e.st.Load(), tn, b, op, root, bytes, opts)
 }
 
-func (e *Engine) runAsyncTenant(st *engineState, tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (*Handle, Verdict) {
+func (e *Engine) runAsyncTenant(st *engineState, tn *Tenant, b Backend, op Op, root int, bytes int64, opts Options) (*Handle[Result], Verdict) {
 	if tn == nil {
 		// No tenant: degrade to the default-class lane with an anonymous
 		// ledger so accounting invariants still hold per call site.
 		tn = &Tenant{name: "anonymous", class: BulkGradient}
 	}
 	opts.Tenant = tn
-	opts.Class = tn.class
-	h := newHandle()
-	rec := e.timeline().Begin(op.String(), b.String(), int(tn.class), bytes)
-	v := e.qos.scheduler(e.Metrics()).submit(laneSub{
-		class:  tn.class,
-		tenant: tn,
-		bytes:  bytes,
-		run: func() {
-			res, hit, err := e.runObserved(st, b, op, root, bytes, opts, h.hook(), rec)
-			h.complete(res, hit, err)
-		},
-	})
-	switch v {
-	case VerdictReject:
-		rec.Complete("", false, 0, ErrAdmissionRejected)
-		h.complete(Result{}, false, fmt.Errorf("%w: tenant %s class %s (%d bytes)",
-			ErrAdmissionRejected, tn.name, tn.class, bytes))
-	case VerdictDefer:
-		h.deferred = true
-	}
-	return h, v
+	return submitAsync(e.qos.scheduler(e.Metrics()), e.timeline(), b, op,
+		laneSub{class: tn.class, tenant: tn, bytes: bytes},
+		func(hook core.ReplayHook, rec *obs.SpanRecorder) (Result, bool, error) {
+			return e.runObserved(st, b, op, root, bytes, opts, hook, rec)
+		})
 }
 
 // RunTenant is the synchronous tenant dispatch against a pinned topology

@@ -66,9 +66,9 @@ func (fp *FrozenPlan) ReplayData(ctx *simgpu.BufferSet) (simgpu.Result, error) {
 // ReplayHook observes chunk-granular replay progress: it is called after
 // each scheduled op (one pipelined chunk transfer or reduction) with the
 // number of ops completed so far and the schedule's total. Hooks run on the
-// replaying goroutine and must be cheap; an async stream scheduler uses
-// them to publish in-flight progress and to yield between chunks so
-// replays on concurrent streams interleave.
+// replaying goroutine and must be cheap; an async scheduler uses them to
+// publish in-flight progress and to yield between chunks so replays on
+// concurrent workers interleave.
 type ReplayHook func(done, total int)
 
 // ReplayDataHooked is ReplayData with a chunk-granular progress hook. A nil

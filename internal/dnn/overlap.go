@@ -27,7 +27,7 @@ func OverlappedTrainStep(eng *collective.Engine, backend collective.Backend, m *
 		return collective.GroupResult{}, fmt.Errorf("dnn: model %s has no gradients", m.Name)
 	}
 	slice := backpropWall / time.Duration(len(sizes))
-	handles := make([]*collective.Handle, len(sizes))
+	handles := make([]*collective.Handle[collective.Result], len(sizes))
 	start := time.Now()
 	for i, sz := range sizes {
 		// Gradients become ready at absolute points in the backward pass,
@@ -38,7 +38,7 @@ func OverlappedTrainStep(eng *collective.Engine, backend collective.Backend, m *
 		if d := time.Until(ready); d > 0 {
 			time.Sleep(d) // backward slice producing this bucket: host idle
 		}
-		handles[i] = eng.RunAsync(backend, collective.AllReduce, 0, sz, collective.Options{}, -1)
+		handles[i] = eng.RunAsync(backend, collective.AllReduce, 0, sz, collective.Options{})
 	}
 	g := collective.GroupResult{Results: make([]collective.Result, 0, len(sizes))}
 	for i, h := range handles {

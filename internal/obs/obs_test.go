@@ -49,7 +49,6 @@ func TestNilRegistryAndNilMetricsAreUsable(t *testing.T) {
 	if rec != nil {
 		t.Fatal("Begin on a nil timeline must return nil")
 	}
-	rec.SetStream(1)
 	rec.Dispatch()
 	if rec.ChunkHook() != nil {
 		t.Fatal("ChunkHook on a nil recorder must be nil (hook chaining relies on it)")
@@ -154,8 +153,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestTimelineSpanLifecycle(t *testing.T) {
 	tl := NewTimeline()
-	rec := tl.Begin("AllReduce", "Blink", -1, 1<<20)
-	rec.SetStream(2)
+	rec := tl.Begin("AllReduce", "Blink", 2, 1<<20)
 	rec.Dispatch()
 	hook := rec.ChunkHook()
 	for i := 1; i <= 8; i++ {

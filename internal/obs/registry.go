@@ -134,8 +134,8 @@ func (h *Histogram) Sum() float64 {
 // observability on".
 //
 // Metric names follow Prometheus conventions and may carry a label suffix,
-// e.g. `blink_stream_queue_depth{stream="0"}`; series sharing a base name
-// are grouped under one TYPE line in the text exposition.
+// e.g. `blink_lane_queue_depth{lane="BulkGradient"}`; series sharing a
+// base name are grouped under one TYPE line in the text exposition.
 type Registry struct {
 	counters   sync.Map // name -> *Counter
 	gauges     sync.Map // name -> *Gauge

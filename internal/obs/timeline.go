@@ -26,8 +26,10 @@ type Span struct {
 	Name string `json:"name"`
 	// Backend is the scheduling backend ("Blink", "NCCL").
 	Backend string `json:"backend"`
-	// Stream is the async worker stream the op ran on (-1 for synchronous
-	// dispatches, which never enter the stream scheduler).
+	// Stream is the lane scheduler lane the async op rode, as the integer
+	// value of its QoS class (0 BulkGradient, 1 LatencyCritical, 2
+	// Telemetry), or -1 for synchronous dispatches, which never enter the
+	// lane scheduler.
 	Stream int `json:"stream"`
 	// Bytes is the collective payload.
 	Bytes int64 `json:"bytes"`
@@ -67,7 +69,7 @@ type SpanEvent struct {
 // Timeline collects spans. Recording is concurrency-safe; spans are
 // appended at completion. For deterministic evidence, hash timelines
 // produced by sequential (single-dispatcher) runs: the hash covers only
-// simulation-determined fields, but cross-stream completion interleaving
+// simulation-determined fields, but cross-lane completion interleaving
 // can still reorder Seq assignment under concurrent submitters.
 type Timeline struct {
 	mu      sync.Mutex
@@ -92,9 +94,9 @@ type SpanRecorder struct {
 	lastQuarter int
 }
 
-// Begin opens a span at queue time. stream is the requested worker stream
-// (-1 for synchronous dispatches or round-robin submissions; SetStream
-// records the resolved stream at dispatch). Begin on a nil timeline
+// Begin opens a span at queue time. stream is the lane the op was
+// submitted to (-1 for synchronous dispatches; see Span.Stream). Begin on
+// a nil timeline
 // returns nil, and every SpanRecorder method is nil-safe, so call sites
 // never branch.
 func (t *Timeline) Begin(name, backend string, stream int, bytes int64) *SpanRecorder {
@@ -113,13 +115,6 @@ func (t *Timeline) Begin(name, backend string, stream int, bytes int64) *SpanRec
 		Bytes:    bytes,
 		QueuedAt: t.now(),
 	}}
-}
-
-// SetStream records the worker stream the op was dispatched on.
-func (r *SpanRecorder) SetStream(stream int) {
-	if r != nil {
-		r.span.Stream = stream
-	}
 }
 
 // Dispatch marks the moment a worker picked the op up.

@@ -132,7 +132,7 @@ func Run(links []Link, ops []*Op, bufs *BufferSet) (Result, error) {
 // RunHooked is Run plus a per-op completion hook: onOp fires after each op
 // is scheduled (its Exec closure, if any, has already run), in dependency
 // order. The hook is how callers observe chunk-granular progress — an async
-// stream scheduler uses it to report in-flight progress and to yield
+// scheduler uses it to report in-flight progress and to yield
 // between chunks so concurrent replays interleave. A nil hook is Run.
 func RunHooked(links []Link, ops []*Op, bufs *BufferSet, onOp func(i int, op *Op)) (Result, error) {
 	n := len(ops)

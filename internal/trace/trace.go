@@ -109,9 +109,10 @@ func FromOps(f *simgpu.Fabric, ops []*simgpu.Op) *File {
 }
 
 // FromSpans converts an op timeline (obs spans) into a trace file where
-// every async stream renders as a swimlane: one "process" per stream (sync
-// dispatches, stream -1, land on pid 0) with the span's Seq as the thread
-// ID so overlapping ops on one stream stack instead of merging. Each span
+// every lane scheduler lane renders as a swimlane: one "process" per lane
+// (pid = lane + 1; sync dispatches, lane -1, land on pid 0) with the span's
+// Seq as the thread ID so overlapping ops on one lane stack instead of
+// merging. Each span
 // yields up to two complete events: a "queued" event covering submission →
 // dispatch (when the op actually waited) and the op event covering
 // dispatch → completion, named after the collective and labeled with its

@@ -143,7 +143,7 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// TestFromSpans checks the span-swimlane conversion: one lane per stream
+// TestFromSpans checks the span-swimlane conversion: one swimlane per lane
 // (sync dispatches on pid 0), a queue event only when the op actually
 // waited, and time-sorted output.
 func TestFromSpans(t *testing.T) {

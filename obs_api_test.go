@@ -23,7 +23,7 @@ func TestCommObservability(t *testing.T) {
 	if _, err := comm.AllReduce(16 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.AllReduceAsync(16<<20, blink.OnStream(1)).Wait(); err != nil {
+	if _, err := comm.AllReduceAsync(16 << 20).Wait(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -34,8 +34,8 @@ func TestCommObservability(t *testing.T) {
 	if spans[0].Stream != -1 {
 		t.Fatalf("sync span stream = %d, want -1", spans[0].Stream)
 	}
-	if spans[1].Stream != 1 {
-		t.Fatalf("async span stream = %d, want 1", spans[1].Stream)
+	if spans[1].Stream != int(blink.ClassBulkGradient) {
+		t.Fatalf("async span lane = %d, want BulkGradient (%d)", spans[1].Stream, blink.ClassBulkGradient)
 	}
 	if !spans[1].CacheHit {
 		t.Fatal("warm async dispatch not attributed as a cache hit")
